@@ -51,7 +51,7 @@ from _latency import merge_latencies, percentile
 
 GOLD_DEPTH = 200    # the polite clients' tree
 MID_DEPTH = 500     # abuser flood fodder: admitted, but drains its quota
-BULK_DEPTH = 6000   # abuser's oversized target: estimate > max_cost
+BULK_DEPTH = 9000   # abuser's oversized target: estimate > max_cost
 POLITE_CLIENTS = 3
 ROUNDS = 40         # paced polite requests per client per phase
 FLOOD = 300         # unpaced abuser requests in the hostile phase
@@ -59,16 +59,21 @@ PACE_S = 0.05       # polite inter-request gap
 F = 8
 
 # The ``match`` estimate is warmth-independent (fetch_tree bypasses the
-# row cache), so a budget of 25 refuses the bulk tree deterministically
-# (match(bulk, n~12000) costs ~29) while admitting every polite request
-# (a cold LCA is ~16).  The flood fodder is a ``clade`` on the mid tree:
-# its estimate keeps a whole-tree worst-case floor (~9, never discounted
-# below the n-row bound) but the actual spanning clade of two adjacent
-# leaves executes in milliseconds — so an unpaced flood spends estimate
-# units far faster than the bucket refills and hits the quota.
-MAX_COST = 25.0
-QUOTA_RATE = 400.0   # tokens/s: >> polite spend (~16/0.05s worst case)
-QUOTA_BURST = 40.0   # ~4 fodder requests up front, then the flood throttles
+# row cache), so a budget of 36 refuses the bulk tree deterministically
+# (match(bulk, n~18000) costs ~44) while admitting every polite request
+# (a cold LCA on the 3-layer gold tree is priced at its worst-case walk,
+# ~26) and the cold flood fodder (~32).  The fodder is a ``clade`` on the
+# mid tree: its estimate keeps a whole-tree worst-case floor (~6 once
+# warm, never discounted below the n-row bound) but the actual spanning
+# clade of two adjacent leaves executes in milliseconds — so an unpaced
+# flood spends estimate units far faster than the bucket refills and
+# hits the quota.
+MAX_COST = 36.0
+QUOTA_RATE = 150.0   # tokens/s: >> polite warm spend (~3 per 3-request
+                     # round, ~20/s) yet < an unpaced flood of ~6-unit
+                     # warm fodder
+QUOTA_BURST = 80.0   # a polite client's cold first round (~68), or the
+                     # fodder's cold price plus a few warm ones
 MAX_CONCURRENT = 4   # one slot per connection in this bench
 
 SMOKE = {"rounds": 12, "flood": 80}

@@ -93,6 +93,23 @@ def run_experiment(
         batch_handle, lambda handle: handle.lca_batch(pairs)
     )
 
+    # Warm index reads per pair — inode, inode_at and block row-cache
+    # lookups — for the far pair (t1, deepest leaf) and averaged over
+    # the workload: the layered walk makes O(layers) of them, not one
+    # per block hopped.
+    def index_lookups(handle) -> int:
+        stats = handle.cache_stats()
+        return sum(
+            stats[name].lookups for name in ("inodes", "inode_at", "blocks")
+        )
+
+    before = index_lookups(batch_handle)
+    batch_handle.lca(*pairs[0])
+    far_pair_lookups = index_lookups(batch_handle) - before
+    before = index_lookups(batch_handle)
+    singles([])(batch_handle)
+    mean_lookups = (index_lookups(batch_handle) - before) / n_pairs
+
     # Warm traced: the same warm workload through the store's query
     # facade, first with tracing quiet, then with every tracing and
     # history feature on at once — a threshold-0 slow log retaining a
@@ -135,10 +152,14 @@ def run_experiment(
         name: value.as_dict()
         for name, value in cold_handle.cache_stats().items()
     }
+    n_layers = cold_handle.info.n_layers
     store.close()
     return {
         "experiment": "stored-lca-engine",
-        "tree": {"shape": "caterpillar", "depth": depth, "f": f},
+        "tree": {
+            "shape": "caterpillar", "depth": depth, "f": f,
+            "n_layers": n_layers,
+        },
         "workload": {"n_pairs": n_pairs, "cache_size": cache_size},
         "sql_statements": {
             "cold_single": cold_statements,
@@ -150,6 +171,10 @@ def run_experiment(
         "per_query_statements": {
             "cold_single": round(cold_statements / n_pairs, 3),
             "cold_batch": round(batch_statements / n_pairs, 3),
+        },
+        "warm_index_lookups_per_pair": {
+            "far_pair": far_pair_lookups,
+            "mean": round(mean_lookups, 2),
         },
         "wall_ms": {
             "cold_single": round(cold_ms, 3),
@@ -210,6 +235,9 @@ def test_stored_lca_engine(benchmark, report):
     assert statements["warm_single"] == 0
     assert statements["warm_batch"] == 0
     assert statements["cold_batch"] < statements["cold_single"]
+    # The far pair's warm walk reads the index O(layers) times.
+    lookups = results["warm_index_lookups_per_pair"]
+    assert lookups["far_pair"] <= 12 * results["tree"]["n_layers"]
     # Tracing + history sampling ride the warm path for free: still
     # zero SQL, and the p50 stays within 5% of the untraced facade.
     assert statements["warm_traced"] == 0
@@ -234,6 +262,11 @@ def main(argv: list[str]) -> int:
         f"cold batch: {statements['cold_batch']}, "
         f"warm (either): {statements['warm_single']}"
     )
+    lookups = results["warm_index_lookups_per_pair"]
+    print(
+        f"warm index lookups: far pair {lookups['far_pair']} over "
+        f"{results['tree']['n_layers']} layers, mean {lookups['mean']}"
+    )
     print(
         f"warm traced: {statements['warm_traced']} statements, "
         f"{results['tracing_overhead_pct']:+.1f}% p50 vs untraced"
@@ -244,6 +277,7 @@ def main(argv: list[str]) -> int:
         and statements["warm_batch"] == 0
         and statements["warm_traced"] == 0
         and statements["cold_batch"] < statements["cold_single"]
+        and lookups["far_pair"] <= 12 * results["tree"]["n_layers"]
     )
     return 0 if ok else 1
 

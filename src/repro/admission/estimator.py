@@ -164,14 +164,38 @@ def _scan_residency(handle) -> float:
 
 
 def _walk_statements(handle) -> int:
-    """Worst-case statement bound of one cold layered-LCA fold step.
+    """Worst-case statements of one cold layered-LCA fold step.
 
-    Each recursion level of the layered algorithm resolves at most two
-    block rows and two inodes (rep/source chains), plus the label-hop
-    lookup — about four statements per layer, plus the final
-    ``inode_at`` and the original-node fetch.
+    Cold, every distinct index row the walk reads is one point
+    statement (the row caches hold a whole walk unless sized below a
+    few dozen rows), so the bound counts rows.  Let
+    ``K = n_layers - 1``, the most layers a pair can climb before both
+    sides share a block (:func:`repro.core.hindex.layered_lca`).
+
+    * **Up**, per layer climbed: each side reads its block row and the
+      representative inode one layer up — 4 rows.
+    * **Down**, per layer below the meeting layer: each side reads the
+      upper path's first step (one ``inode_at``), the block it
+      represents and that block's source inode — 3 rows — and the
+      layer's LCA is one more ``inode_at``: 7 rows.  A side reads
+      further only when the layer's LCA is the boundary node its path
+      leaves the block through.  That happens only when the *other*
+      argument's representative is the LCA itself, so the other side
+      reads nothing at the layer below; for ``f >= 2`` the extra
+      (a second ancestor and the step above it, 3 rows) is at most
+      what the other side saves.
+    * The meeting layer's LCA read, and the LCA's node row: 2.
+
+    That is ``11·K + 2``.  With ``f = 1`` a block is one level deep: no
+    label step costs a read (every step is an ancestor already held),
+    but a side may need one more ancestor per layer it descends, two
+    rows each, so ``K`` layers of ``4 + 1`` plus ``Σ 4·(k+1)`` rows
+    give ``2·K² + 7·K + 2``.
     """
-    return 4 * max(1, handle.info.n_layers) + 2
+    climbed = max(0, handle.info.n_layers - 1)
+    if handle.info.f >= 2:
+        return 11 * climbed + 2
+    return 2 * climbed * climbed + 7 * climbed + 2
 
 
 def _estimate(
@@ -217,10 +241,16 @@ def estimate_query(request: QueryRequest, handle) -> CostEstimate:
         arg_res = handle.engine.resident_fraction(args)
         cold_args = len(args) * (1.0 - arg_res)
         # Argument rows and their canonical inodes arrive in batched
-        # IN (...) fills; each cold fold then climbs the index skeleton.
-        statements = 2.0 * _batches(cold_args)
-        statements += folds * _walk_statements(handle) * (1.0 - skeleton)
-        rows = cold_args * 2.0 + folds * 4.0 * info.n_layers * (1.0 - skeleton)
+        # IN (...) fills; each cold fold then walks the index, one row
+        # per point statement.  A walk pins only O(layers) rows, so the
+        # skeleton's overall residency stays low however warm a
+        # workload's own pairs are: resident arguments (a warm repeat
+        # finds both) discount the walk as well.
+        walk_rows = folds * _walk_statements(handle) * (
+            1.0 - max(skeleton, arg_res)
+        )
+        statements = 2.0 * _batches(cold_args) + walk_rows
+        rows = cold_args * 2.0 + walk_rows
         warm = (arg_res + skeleton) / 2.0
         if request.operation == "lca":
             result_bytes = NODE_ROW_JSON_BYTES

@@ -14,11 +14,16 @@ constant ``f``:
    of the block root in the parent block.
 
 LCA is answered with the paper's recursive procedure: same block → node
-at the longest common label prefix; different blocks → recurse one layer
-up on the blocks' representative nodes, land in the LCA block, pull both
-arguments into it along source chains, and take the local prefix there.
-The recursion visits one layer per step, so the cost is
-``O(f · log_f(depth))`` instead of ``O(depth)``.
+at the longest common label prefix; different blocks → climb both
+arguments' representative chains one layer per step until they share a
+block, take the prefix there, and come back down one layer per step (see
+:func:`layered_lca`).  Coming down, the ancestor of an argument inside
+the LCA block of the layer below is the source node of one block — the
+block represented by the child of the upper LCA on the argument's path —
+and that child is a single label-prefix step in the upper layer.  So for
+``f >= 2`` the walk costs ``O(1)`` index lookups per layer,
+``O(f · log_f(depth))`` in all, instead of one source-chain hop per
+block (``O(depth / f)``).
 
 Everything is stored in flat integer-indexed tables that mirror the
 relational schema in :mod:`repro.storage.schema` one-for-one.
@@ -26,11 +31,12 @@ relational schema in :mod:`repro.storage.schema` one-for-one.
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from repro.core.decompose import decompose
 from repro.core.dewey import DeweyLabel, common_prefix, label_to_string
-from repro.errors import QueryError
+from repro.errors import QueryError, StorageError
 from repro.trees.node import Node
 from repro.trees.tree import PhyloTree
 
@@ -77,6 +83,16 @@ class HierarchicalIndex:
         self._inode_at: dict[tuple[int, DeweyLabel], int] = {}
 
         self._build()
+        inode_at = self._inode_at
+        #: The table reads :func:`layered_lca` walks (inode ids as positions).
+        self.walk_ops = LayerOps(
+            block=self.inode_block.__getitem__,
+            label=self.inode_label.__getitem__,
+            rep=self.block_rep_inode.__getitem__,
+            source=self.block_source_inode.__getitem__,
+            represents=self.inode_represents.__getitem__,
+            at=lambda block, label: inode_at[(block, label)],
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -232,7 +248,7 @@ class HierarchicalIndex:
 
     def lca(self, a: Node, b: Node) -> Node:
         """Least common ancestor of two original tree nodes."""
-        result = self._lca_inode(self.inode_of(a), self.inode_of(b))
+        result = layered_lca(self.walk_ops, self.inode_of(a), self.inode_of(b))
         orig = self.inode_orig[result]
         assert orig is not None, "layer-0 LCA inode must map to an original node"
         return orig
@@ -260,34 +276,6 @@ class HierarchicalIndex:
     def is_ancestor_or_self(self, ancestor: Node, descendant: Node) -> bool:
         """Ancestor-or-self test via the paper's identity LCA(m,n) = m."""
         return self.lca(ancestor, descendant) is ancestor
-
-    def _lca_inode(self, a: int, b: int) -> int:
-        """LCA over inodes at the same layer (recursive across layers)."""
-        block_a = self.inode_block[a]
-        block_b = self.inode_block[b]
-        if block_a == block_b:
-            label = common_prefix(self.inode_label[a], self.inode_label[b])
-            return self._inode_at[(block_a, label)]
-        rep_a = self.block_rep_inode[block_a]
-        rep_b = self.block_rep_inode[block_b]
-        assert rep_a is not None and rep_b is not None, (
-            "blocks in a multi-block layer must have representatives"
-        )
-        upper = self._lca_inode(rep_a, rep_b)
-        target_block = self.inode_represents[upper]
-        assert target_block is not None
-        a2 = self._ancestor_in_block(a, target_block)
-        b2 = self._ancestor_in_block(b, target_block)
-        label = common_prefix(self.inode_label[a2], self.inode_label[b2])
-        return self._inode_at[(target_block, label)]
-
-    def _ancestor_in_block(self, inode: int, target_block: int) -> int:
-        """Hop along source nodes until reaching ``target_block``."""
-        while self.inode_block[inode] != target_block:
-            source = self.block_source_inode[self.inode_block[inode]]
-            assert source is not None, "walked past the top block"
-            inode = source
-        return inode
 
     # ------------------------------------------------------------------
     # Statistics (experiments E2/E3)
@@ -338,3 +326,209 @@ class HierarchicalIndex:
             f"HierarchicalIndex(f={self.f}, layers={self.n_layers}, "
             f"blocks={self.n_blocks()}, inodes={self.n_inodes()})"
         )
+
+
+# ----------------------------------------------------------------------
+# The layered LCA walk, shared by the in-memory and the stored index
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LayerOps:
+    """The six index reads :func:`layered_lca` is written against.
+
+    A *position* is one inode: an ``int`` for :class:`HierarchicalIndex`,
+    a fetched ``inodes`` row for
+    :class:`~repro.storage.tree_repository.StoredTree`.  Every read is one
+    table (or row-cache) lookup; the walk never scans.
+    """
+
+    block: Callable[[Any], int]
+    """Block id holding a position."""
+    label: Callable[[Any], DeweyLabel]
+    """Local label of a position inside its block."""
+    rep: Callable[[int], Any]
+    """Canonical position, one layer up, of the node standing for a block."""
+    source: Callable[[int], Any]
+    """Boundary position, in the parent block, that a split block hangs off."""
+    represents: Callable[[Any], int]
+    """Block (one layer down) an upper-layer position stands for."""
+    at: Callable[[int, DeweyLabel], Any]
+    """Position at ``(block, label)``."""
+
+
+class _Path:
+    """One argument's path at one layer: from the layer's LCA down to it.
+
+    The path leaves the LCA block ``C0`` through a chain of blocks
+    ``C1, C2, …`` down to the argument's own block.  ``anc(i)`` is the
+    argument's ancestor-or-self inside ``Ci``; ``desc(j)`` is the
+    ``j``-th position below the LCA on the path.  Both are computed on
+    demand and memoised: the layer below asks for ``desc(1)`` (and, when
+    its own LCA sits at a block boundary, ``desc(2)``), so shallow trees
+    never pay for a second step.
+    """
+
+    __slots__ = ("ops", "x", "up", "start", "tail", "_anc", "_desc")
+
+    def __init__(self, ops: LayerOps, x: Any, up: "_Path | None") -> None:
+        self.ops = ops
+        self.x = x  # the argument's position at this layer
+        self.up = up  # the same argument's path one layer up (None at the top)
+        self.start = 0  # label length of this layer's LCA (set by _meet)
+        self.tail: int | None = None  # i with anc(i) == x, once reached
+        self._anc: list[Any] = []
+        self._desc: list[Any] = []
+
+    def anc(self, i: int) -> Any:
+        """Ancestor-or-self of ``x`` in ``Ci`` (asked in order, never past ``tail``)."""
+        if i == len(self._anc):
+            self._add_anc(self.up.desc(i + 1) if self.up is not None else None)
+        return self._anc[i]
+
+    def _add_anc(self, upper_step: Any) -> None:
+        """Append ``anc(i)`` given the upper path's ``desc(i+1)``.
+
+        One layer up, the path from the upper LCA to ``x``'s
+        representative visits the nodes standing for ``C1, C2, …`` in
+        order, so ``C(i+1)`` is what ``desc(i+1)`` represents and the
+        ancestor in ``Ci`` is that block's source.  When the upper path
+        ends before ``i+1`` steps, ``Ci`` is ``x``'s own block.
+        """
+        if upper_step is None:
+            self.tail = len(self._anc)
+            self._anc.append(self.x)
+        else:
+            ops = self.ops
+            self._anc.append(ops.source(ops.represents(upper_step)))
+
+    def desc(self, j: int) -> Any:
+        """The ``j``-th position below the LCA toward ``x`` (``None`` past ``x``).
+
+        A demand may climb several layers (each needing ``desc`` one
+        layer up); it runs on an explicit stack, so no tree shape —
+        ``f = 1`` has as many layers as levels — can exhaust the
+        interpreter's recursion limit.
+        """
+        if j <= len(self._desc):
+            return self._desc[j - 1]
+        pending: list[tuple[_Path, int]] = [(self, j)]
+        while pending:
+            path, steps = pending[-1]
+            blocker = path._extend(steps)
+            if blocker is None:
+                pending.pop()
+            else:
+                pending.append(blocker)
+        return self._desc[j - 1]
+
+    def _extend(self, j: int) -> "tuple[_Path, int] | None":
+        """Fill ``desc`` up to ``j``, or return the upper ``desc`` it waits on.
+
+        Steps down block by block: ``label[:depth]`` of the ancestor in
+        the current block, or — past that ancestor, a boundary node whose
+        split-block copy has label ε — on into the next block of the
+        chain.
+        """
+        ops = self.ops
+        memo = self._desc
+        while len(memo) < j:
+            steps = len(memo) + 1
+            start = self.start  # label length the path enters block i at
+            i = 0
+            while True:
+                if i == len(self._anc):
+                    up = self.up
+                    if up is not None and len(up._desc) <= i:
+                        return up, i + 1
+                    self._add_anc(up._desc[i] if up is not None else None)
+                anc = self._anc[i]
+                label = ops.label(anc)
+                depth = start + steps
+                if depth == len(label):
+                    # One label step per level: the ancestor itself (how
+                    # a shallow tree skips the label lookup).
+                    memo.append(anc)
+                    break
+                if depth < len(label):
+                    memo.append(ops.at(ops.block(anc), label[:depth]))
+                    break
+                if i == self.tail:
+                    memo.append(None)
+                    break
+                steps = depth - len(label)
+                start = 0
+                i += 1
+        return None
+
+
+def _meet(ops: LayerOps, path_a: _Path, path_b: _Path) -> Any:
+    """The LCA at one layer, from both arguments' ancestors in its block."""
+    anc_a = path_a.anc(0)
+    anc_b = path_b.anc(0)
+    block = ops.block(anc_a)
+    if ops.block(anc_b) != block:
+        raise StorageError(
+            "index corrupt: LCA ancestors landed in different blocks "
+            f"({block} and {ops.block(anc_b)})"
+        )
+    label_a = ops.label(anc_a)
+    label_b = ops.label(anc_b)
+    prefix = common_prefix(label_a, label_b)
+    path_a.start = path_b.start = len(prefix)
+    if len(prefix) == len(label_a):
+        return anc_a
+    if len(prefix) == len(label_b):
+        return anc_b
+    return ops.at(block, prefix)
+
+
+def layered_lca(ops: LayerOps, a: Any, b: Any) -> Any:
+    """LCA of two positions of the same layer, one walk step per layer.
+
+    **Up.**  While ``a`` and ``b`` sit in different blocks, replace each
+    by its block's representative one layer up.  The top layer is a
+    single block, so the chains meet.
+
+    **Down.**  At the meeting layer the LCA is the common label prefix.
+    One layer down, the LCA block ``T`` is the block the upper LCA
+    represents, and ``a``'s ancestor in ``T`` is the source node of the
+    block represented by the upper LCA's child on the path to ``a`` —
+    one label-prefix step from the ancestor the upper layer already
+    found (:class:`_Path`).  Two cases need no general machinery:
+
+    * the upper LCA is itself a boundary node on ``a``'s path (its
+      children live in its split block), so the child is the first
+      label step inside that block — ``desc`` continues into the next
+      block of the chain instead of stopping at the boundary;
+    * ``a``'s representative is exactly one label step below the upper
+      LCA (shallow trees), so the child is the representative itself and
+      the ancestor is its block's source — one hop, no label lookup.
+
+    **Cost.**  Each layer climbed reads one ``rep`` per side.  Each
+    layer come down reads, per side, the upper path's first step (at
+    most one ``at``) and the ``source`` of the block it represents, plus
+    at most one ``at`` for the LCA.  A side needs a second step only
+    when the LCA is the boundary node its path leaves the block through
+    — and then the other argument is the LCA and needs none — and for
+    ``f >= 2`` that second step stays within the first two blocks of
+    the path.  So a walk makes ``O(1)`` reads per layer, ``O(layers)``
+    in all, and never walks a layer twice.  With ``f = 1`` every block
+    is one level deep, so each further step lies in a further block and
+    such a demand can grow by one step per layer it climbs (``f = 1``
+    has as many layers as levels anyway).
+    """
+    chain_a = [a]
+    chain_b = [b]
+    while ops.block(a) != ops.block(b):
+        a = ops.rep(ops.block(a))
+        b = ops.rep(ops.block(b))
+        chain_a.append(a)
+        chain_b.append(b)
+    path_a = path_b = None
+    lca = a
+    for x, y in zip(reversed(chain_a), reversed(chain_b)):
+        path_a = _Path(ops, x, path_a)
+        path_b = _Path(ops, y, path_b)
+        lca = _meet(ops, path_a, path_b)
+    return lca

@@ -135,6 +135,10 @@ class LRUCache:
         """Membership test; does not count as a lookup or refresh recency."""
         return key in self._data or key in self._pinned
 
+    def is_pinned(self, key: Hashable) -> bool:
+        """Whether ``key`` sits in the pinned segment (not a lookup)."""
+        return key in self._pinned
+
     @property
     def pinned_count(self) -> int:
         return len(self._pinned)

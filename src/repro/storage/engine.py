@@ -261,9 +261,11 @@ class StoredQueryEngine:
         """
         row = self._inodes.get(inode_id)
         if row is not None:
-            if pin:
+            if pin and not self._inodes.is_pinned(inode_id):
                 # Promote a probationary hit: once an inode is known to
-                # be skeleton, scans must not evict it.
+                # be skeleton, scans must not evict it.  A hit that is
+                # already pinned is left alone — re-putting it would
+                # cost two or three cache writes per warm hop.
                 self._remember_inode(row, pin=True)
             return row
         row = self.db.query_one(

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import datetime as _datetime
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
-from repro.core.dewey import (
-    DeweyLabel,
-    common_prefix,
-    label_from_string,
-    label_to_string,
-)
-from repro.core.hindex import HierarchicalIndex
+from repro.core.dewey import DeweyLabel, label_from_string, label_to_string
+from repro.core.hindex import HierarchicalIndex, LayerOps, layered_lca
 from repro.core.lca import DEFAULT_LABEL_BOUND
 from repro.errors import QueryError, StorageError
 from repro.storage.cache import CacheStats
@@ -38,6 +35,10 @@ from repro.storage.engine import DEFAULT_CACHE_SIZE, StoredQueryEngine
 from repro.trees.node import Node
 from repro.trees.traversal import preorder_intervals
 from repro.trees.tree import PhyloTree
+
+_parse_label = lru_cache(maxsize=8192)(label_from_string)
+"""Stored ``local_label`` text → label tuple; a walk re-reads the same few
+hundred labels of the index skeleton, so parses are memoised."""
 
 
 @dataclass(frozen=True)
@@ -500,6 +501,90 @@ class TreeRepository:
         return f"TreeRepository({self.db!r})"
 
 
+class _IndexRows:
+    """Checked reads of one stored tree's ``blocks``/``inodes`` rows.
+
+    Every absent row or dangling reference raises
+    ``StorageError("index corrupt: …")``.  The reader holds the engine,
+    not the :class:`StoredTree`, so the walk ops a handle keeps (bound
+    methods of this reader) form no reference cycle with the handle.
+    """
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: StoredQueryEngine) -> None:
+        self.engine = engine
+
+    def layer_ops(self) -> LayerOps:
+        """The reads :func:`~repro.core.hindex.layered_lca` makes, rows as positions."""
+        return LayerOps(
+            block=itemgetter("block_id"),
+            label=lambda row: _parse_label(row["local_label"]),
+            rep=self.rep,
+            source=self.source,
+            represents=self.represents,
+            at=self.inode_at,
+        )
+
+    def canonical_inode(self, node_id: int):
+        row = self.engine.canonical_inode(node_id)
+        if row is None:
+            raise StorageError(
+                f"index corrupt: no canonical inode for node {node_id}"
+            )
+        return row
+
+    def inode(self, inode_id: int):
+        # Only ever called to resolve block source/rep references, which
+        # are index skeleton: pin them against layer-0 scans.
+        row = self.engine.inode(inode_id, pin=True)
+        if row is None:
+            raise StorageError(f"index corrupt: missing inode {inode_id}")
+        return row
+
+    def inode_at(self, block_id: int, label: DeweyLabel):
+        row = self.engine.inode_at(block_id, label_to_string(label))
+        if row is None:
+            raise StorageError(
+                f"index corrupt: no inode at block {block_id} "
+                f"label {label_to_string(label)!r}"
+            )
+        return row
+
+    def block(self, block_id: int):
+        row = self.engine.block(block_id)
+        if row is None:
+            raise StorageError(f"index corrupt: missing block {block_id}")
+        return row
+
+    def rep(self, block_id: int):
+        block = self.block(block_id)
+        rep = block["rep_inode_id"]
+        if rep is None:
+            raise StorageError("index corrupt: multi-block layer lacks reps")
+        row = self.inode(rep)
+        if row["layer"] != block["layer"] + 1:
+            # Layers strictly increase along rep chains, so a climb
+            # always ends at the single top block.
+            raise StorageError(
+                f"index corrupt: rep of block {block_id} is not one layer up"
+            )
+        return row
+
+    def source(self, block_id: int):
+        source = self.block(block_id)["source_inode_id"]
+        if source is None:
+            raise StorageError("index corrupt: source chain left the tree")
+        return self.inode(source)
+
+    @staticmethod
+    def represents(row) -> int:
+        block_id = row["represents_block_id"]
+        if block_id is None:
+            raise StorageError("index corrupt: upper inode without block ref")
+        return block_id
+
+
 class StoredTree:
     """Query handle over one stored tree; all reads go through SQL.
 
@@ -521,6 +606,8 @@ class StoredTree:
         self.info = info
         self._tree_id = info.tree_id
         self.engine = StoredQueryEngine(db, info.tree_id, cache_size)
+        self._index = _IndexRows(self.engine)
+        self._walk_ops = self._index.layer_ops()
 
     def _raise_missing(self, message: str) -> None:
         """Raise for a row lookup that found nothing.
@@ -663,43 +750,14 @@ class StoredTree:
     # Layered LCA over SQL
     # ------------------------------------------------------------------
 
-    def _canonical_inode(self, node_id: int):
-        row = self.engine.canonical_inode(node_id)
-        if row is None:
-            raise StorageError(
-                f"index corrupt: no canonical inode for node {node_id}"
-            )
-        return row
-
-    def _inode(self, inode_id: int):
-        # Only ever called to resolve block root/source/rep references,
-        # which are index skeleton: pin them against layer-0 scans.
-        row = self.engine.inode(inode_id, pin=True)
-        if row is None:
-            raise StorageError(f"index corrupt: missing inode {inode_id}")
-        return row
-
-    def _inode_at(self, block_id: int, label: DeweyLabel):
-        row = self.engine.inode_at(block_id, label_to_string(label))
-        if row is None:
-            raise StorageError(
-                f"index corrupt: no inode at block {block_id} "
-                f"label {label_to_string(label)!r}"
-            )
-        return row
-
-    def _block(self, block_id: int):
-        row = self.engine.block(block_id)
-        if row is None:
-            raise StorageError(f"index corrupt: missing block {block_id}")
-        return row
-
     def lca(self, a: int | str, b: int | str) -> NodeRow:
         """LCA of two nodes given by id or name, via the layered index.
 
         Every step is an indexed point query (served from the row cache
-        when warm); the number of steps is bounded by the number of
-        layers plus the block-chain hops, never by the raw tree depth.
+        when warm).  The walk (:func:`~repro.core.hindex.layered_lca`)
+        makes a bounded number of steps per layer — for ``f >= 2`` at
+        most 11 row reads per layer climbed, the bound the admission
+        estimator prices — never one per block or per level of depth.
         """
         row_a = self.node_by_name(a) if isinstance(a, str) else self.node(a)
         row_b = self.node_by_name(b) if isinstance(b, str) else self.node(b)
@@ -716,46 +774,15 @@ class StoredTree:
             return row_a
         if row_b.contains(row_a.node_id):
             return row_b
-        inode_a = self._canonical_inode(row_a.node_id)
-        inode_b = self._canonical_inode(row_b.node_id)
-        result = self._lca_inode(inode_a, inode_b)
+        result = layered_lca(
+            self._walk_ops,
+            self._index.canonical_inode(row_a.node_id),
+            self._index.canonical_inode(row_b.node_id),
+        )
         orig = result["orig_node_id"]
         if orig is None:
             raise StorageError("index corrupt: layer-0 LCA without original node")
         return self.node(orig)
-
-    def _lca_inode(self, inode_a, inode_b):
-        if inode_a["block_id"] == inode_b["block_id"]:
-            label = common_prefix(
-                label_from_string(inode_a["local_label"]),
-                label_from_string(inode_b["local_label"]),
-            )
-            return self._inode_at(inode_a["block_id"], label)
-        block_a = self._block(inode_a["block_id"])
-        block_b = self._block(inode_b["block_id"])
-        rep_a = block_a["rep_inode_id"]
-        rep_b = block_b["rep_inode_id"]
-        if rep_a is None or rep_b is None:
-            raise StorageError("index corrupt: multi-block layer lacks reps")
-        upper = self._lca_inode(self._inode(rep_a), self._inode(rep_b))
-        target_block = upper["represents_block_id"]
-        if target_block is None:
-            raise StorageError("index corrupt: upper inode without block ref")
-        anc_a = self._ancestor_in_block(inode_a, target_block)
-        anc_b = self._ancestor_in_block(inode_b, target_block)
-        label = common_prefix(
-            label_from_string(anc_a["local_label"]),
-            label_from_string(anc_b["local_label"]),
-        )
-        return self._inode_at(target_block, label)
-
-    def _ancestor_in_block(self, inode, target_block: int):
-        while inode["block_id"] != target_block:
-            source = self._block(inode["block_id"])["source_inode_id"]
-            if source is None:
-                raise StorageError("index corrupt: source chain left the tree")
-            inode = self._inode(source)
-        return inode
 
     def _resolve_rows(self, items: Sequence[int | str]) -> list[NodeRow]:
         """Resolve a mixed id/name sequence to rows with batched fetches."""

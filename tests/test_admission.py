@@ -15,12 +15,14 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.admission import (
@@ -33,6 +35,7 @@ from repro.admission import (
 )
 from repro.errors import ProtocolError, ResourceError, StorageError
 from repro.server import CrimsonServer, RemoteSession, protocol
+from repro.simulation.birth_death import yule_tree
 from repro.storage import engine, wire
 from repro.storage.api import AnalyticsRequest, QueryRequest
 from repro.storage.store import CrimsonStore
@@ -124,6 +127,52 @@ class TestEstimator:
             CostEstimate.from_dict(
                 {**estimate.as_dict(), "trees": "not-a-list"}
             )
+
+
+class TestEstimateBoundsWalks:
+    """The estimate is a worst-case bound on the layered walk: neither a
+    cold request nor its warm repeat executes more statements than it
+    was priced at.  (``project`` is priced separately and is not yet a
+    bound.)"""
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        with CrimsonStore.open() as store:
+            store.load_tree(caterpillar(600), name="cat", f=8)
+            store.load_tree(
+                yule_tree(2000, rng=np.random.default_rng(7)),
+                name="yule",
+                f=8,
+            )
+            yield store
+
+    @staticmethod
+    def _requests(store, tree):
+        names = store.open_tree(tree).leaf_names()
+        rng = random.Random(5)
+        pairs = [tuple(rng.sample(names, 2)) for _ in range(25)]
+        first, middle, last = names[0], names[len(names) // 2], names[-1]
+        return [
+            QueryRequest.lca(tree, first, last),
+            QueryRequest.lca(tree, middle, last),
+            QueryRequest.lca(tree, *pairs[0]),
+            QueryRequest.clade(tree, first, middle, last),
+            QueryRequest.clade(tree, *pairs[1]),
+            QueryRequest.lca_batch(tree, pairs),
+        ]
+
+    @pytest.mark.parametrize("tree", ["cat", "yule"])
+    def test_cold_and_warm_statements_within_estimate(self, walked, tree):
+        for request in self._requests(walked, tree):
+            walked.open_tree(tree).clear_cache()
+            for state in ("cold", "warm"):
+                estimate = walked.estimate(request)
+                with walked.db.count_statements() as counter:
+                    walked.query(request)
+                assert counter.count <= estimate.statements, (
+                    state, request.operation, request.taxa,
+                    counter.count, estimate.statements,
+                )
 
 
 # ----------------------------------------------------------------------

@@ -160,9 +160,7 @@ class TestSegmentedAdmission:
             handle.lca("t1", "t600")
             handle.lca("t3", "t300")
 
-        with db.count_statements() as counter:
-            workload()
-        cold = counter.count
+        workload()
         with db.count_statements() as counter:
             workload()
         assert counter.count == 0  # fully warm before the scan
@@ -189,7 +187,11 @@ class TestSegmentedAdmission:
         # ... so the post-scan repeat costs a few layer-0 re-fetches,
         # not a cold re-walk.
         assert 0 < counter.count <= 20
-        assert counter.count < cold // 10
+        # Exactly the layer-0 rows the scan evicted: the node rows and
+        # canonical inodes of t1, t3 and t300 (t600 ends the pre-order,
+        # so the scan leaves it resident), plus each LCA's layer-0 inode
+        # and node row: 3 + 3 + 2 + 2.
+        assert counter.count == 10
 
 
 class TestWarmPath:
@@ -204,6 +206,27 @@ class TestWarmPath:
         with db.count_statements() as counter:
             assert stored.lca_many(["Lla", "Spy", "Bha"]).name == "A"
         assert counter.count == 0
+
+    def test_warm_far_pair_walk_writes_no_cache_entries(
+        self, repo, monkeypatch
+    ):
+        """A warm repeat only reads the caches: a hit on a row that is
+        already pinned is not re-put (each re-put rewrote two or three
+        cache entries per hop)."""
+        handle = repo.store_tree(caterpillar(400), name="deep", f=4)
+        handle.lca("t1", "t400")
+        handle.lca("t150", "t400")
+        puts = []
+        put = LRUCache.put
+
+        def counting_put(self, key, value, pinned=False):
+            puts.append(key)
+            put(self, key, value, pinned)
+
+        monkeypatch.setattr(LRUCache, "put", counting_put)
+        assert handle.lca("t1", "t400").node_id == 0
+        assert handle.lca("t150", "t400").depth == 149
+        assert puts == []
 
     def test_cold_query_counts_statements(self, db, stored):
         with db.count_statements() as counter:

@@ -53,6 +53,23 @@ class TestIndexCorruption:
         with pytest.raises(StorageError):
             stored.lca("Lla", "Syn")
 
+    def test_cyclic_rep_chain(self, db, stored):
+        # Each layer-0 block "represented" by a layer-0 inode of the
+        # other: a climb that trusted rep pointers would never end.
+        db.execute(
+            "UPDATE blocks SET rep_inode_id = CASE block_id "
+            "WHEN 0 THEN 6 ELSE 0 END WHERE layer = 0"
+        )
+        with pytest.raises(StorageError, match="not one layer up"):
+            stored.lca("Lla", "Syn")
+
+    def test_source_pointing_into_its_own_block(self, db, stored):
+        # Block 1 hangs off one of its own inodes, so Lla's ancestor
+        # never reaches the LCA block.
+        db.execute("UPDATE blocks SET source_inode_id = 7 WHERE block_id = 1")
+        with pytest.raises(StorageError, match="different blocks"):
+            stored.lca("Lla", "Syn")
+
     def test_missing_prefix_inode(self, db, stored):
         # Remove the inode the common-prefix lookup lands on (the root ε).
         db.execute(
