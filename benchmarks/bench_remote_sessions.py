@@ -18,10 +18,17 @@ compares answers.  Figures are emitted as JSON (committed as
 
     PYTHONPATH=src python benchmarks/bench_remote_sessions.py [out.json] [--smoke]
 
-``--smoke`` shrinks the workload to a seconds-long CI guard.  Run as a
-pytest bench it asserts the acceptance properties: >= 4 client
-processes, zero errors of any kind, and signatures identical to the
-local session's.
+A second, single-client case times the row-heavy answer on its own:
+the whole-tree clade of caterpillar(600) (1,199 rows), local p50 vs
+remote p50 and their ratio, plus the exact byte size of its encoded
+``nodes`` object.  That size is deterministic, so it is gated exactly
+(:data:`WHOLE_CLADE_NODES_BYTES`); the ratio is recorded, not gated.
+
+``--smoke`` shrinks the workload to a seconds-long CI guard (the
+whole-tree clade keeps its 600-leaf tree, with fewer rounds).  Run as
+a pytest bench it asserts the acceptance properties: >= 4 client
+processes, zero errors of any kind, signatures identical to the local
+session's, and the whole-tree clade's byte count.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from repro.storage.api import QueryRequest
 from repro.storage.store import CrimsonStore
 from repro.trees.build import caterpillar
 
-from _latency import merge_latencies
+from _latency import latency_summary, merge_latencies
 
 DEPTH = 600
 POOL_SIZE = 4
@@ -51,6 +58,13 @@ F = 8
 SMOKE = {"depth": 150, "rounds": 8}
 
 TREE = "gold"
+
+WHOLE_CLADE_DEPTH = 600
+"""Leaves of the caterpillar whose whole-tree clade (2n−1 rows) is timed."""
+
+WHOLE_CLADE_NODES_BYTES = 47_766
+"""Exact bytes of that clade's encoded ``nodes`` object (protocol 2,
+one list per row field; protocol 1's row objects took 179,530)."""
 
 
 def workload_requests(depth: int) -> list[QueryRequest]:
@@ -128,7 +142,52 @@ def _client_process(address, depth, rounds, index, barrier, queue) -> None:
     queue.put(outcome)
 
 
+def run_whole_clade(rounds: int) -> dict:
+    """Single-client timing of the whole-tree clade, local vs remote."""
+    request = QueryRequest.clade(TREE, "t1", f"t{WHOLE_CLADE_DEPTH}")
+
+    def timed(session) -> tuple[tuple, list[float]]:
+        rows = session.query(request).nodes  # warm the caches
+        latencies = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            session.query(request)
+            latencies.append(time.perf_counter() - start)
+        return rows, latencies
+
+    with tempfile.TemporaryDirectory() as tmpdir:
+        path = str(Path(tmpdir) / "clade.db")
+        with CrimsonStore.open(path, readers=1) as store:
+            store.load_tree(caterpillar(WHOLE_CLADE_DEPTH), name=TREE, f=F)
+            rows, local_s = timed(store.session())
+            with CrimsonServer(store, port=0) as server:
+                with RemoteSession(*server.address) as remote:
+                    remote_rows, remote_s = timed(remote)
+    nodes_bytes = len(
+        json.dumps(
+            wire.encode_node_rows(rows),
+            ensure_ascii=False,
+            separators=(",", ":"),
+        ).encode("utf-8")
+    )
+    local = latency_summary(local_s)
+    remote = latency_summary(remote_s)
+    return {
+        "tree": {"shape": "caterpillar", "depth": WHOLE_CLADE_DEPTH, "f": F},
+        "rows": len(rows),
+        "nodes_bytes": nodes_bytes,
+        "answers_match": remote_rows == rows,
+        "rounds": rounds,
+        "local_latency_ms": local,
+        "remote_latency_ms": remote,
+        "remote_over_local_p50": round(
+            remote["p50_ms"] / local["p50_ms"], 2
+        ),
+    }
+
+
 def run_experiment(depth: int = DEPTH, rounds: int = ROUNDS) -> dict:
+    whole_clade = run_whole_clade(rounds)
     with tempfile.TemporaryDirectory() as tmpdir:
         path = str(Path(tmpdir) / "bench.db")
         with CrimsonStore.open(path, readers=POOL_SIZE) as store:
@@ -216,6 +275,7 @@ def run_experiment(depth: int = DEPTH, rounds: int = ROUNDS) -> dict:
                     "locked_errors": sum("locked" in e for e in errors),
                 },
                 "answers_match": answers_match,
+                "whole_tree_clade": whole_clade,
             }
 
 
@@ -256,6 +316,19 @@ def test_remote_sessions(benchmark, report):
     assert remote["locked_errors"] == 0
     assert results["answers_match"]
     assert remote["total_queries"] == remote["clients"] * local["queries"]
+    # The row-heavy case: deterministic bytes gated exactly; the
+    # remote/local ratio is only reported.
+    whole = results["whole_tree_clade"]
+    assert whole["rows"] == 2 * WHOLE_CLADE_DEPTH - 1
+    assert whole["answers_match"]
+    assert whole["nodes_bytes"] == WHOLE_CLADE_NODES_BYTES
+    report(
+        f"  whole-tree clade ({whole['rows']} rows, "
+        f"{whole['nodes_bytes']} nodes bytes): local p50 "
+        f"{whole['local_latency_ms']['p50_ms']:.2f} ms, remote p50 "
+        f"{whole['remote_latency_ms']['p50_ms']:.2f} ms "
+        f"({whole['remote_over_local_p50']}x)"
+    )
     # Per-verb latency quantiles cover the whole request mix, both
     # transports, with consistent ordering.
     verbs = {"lca", "lca_batch", "clade", "project"}
@@ -287,11 +360,21 @@ def main(argv: list[str]) -> int:
         f"errors: {len(remote['errors'])}, "
         f"answers match: {results['answers_match']}"
     )
+    whole = results["whole_tree_clade"]
+    print(
+        f"whole-tree clade: {whole['rows']} rows, {whole['nodes_bytes']} "
+        f"nodes bytes (expected {WHOLE_CLADE_NODES_BYTES}); p50 local "
+        f"{whole['local_latency_ms']['p50_ms']} ms, remote "
+        f"{whole['remote_latency_ms']['p50_ms']} ms "
+        f"({whole['remote_over_local_p50']}x)"
+    )
     ok = (
         remote["clients"] >= 4
         and not remote["errors"]
         and remote["locked_errors"] == 0
         and results["answers_match"]
+        and whole["answers_match"]
+        and whole["nodes_bytes"] == WHOLE_CLADE_NODES_BYTES
     )
     return 0 if ok else 1
 

@@ -58,7 +58,13 @@ BATCH_CHUNK = 400
 the two cannot drift."""
 
 NODE_ROW_JSON_BYTES = 170
-"""Approximate wire size of one encoded :class:`NodeRow`."""
+"""Upper bound on one :class:`NodeRow`'s share of a result's columnar
+``nodes`` object (:func:`repro.storage.wire.encode_node_rows`).
+
+A one-row result pays the nine column names (about 130 bytes) whole;
+a large one amortises them and costs 40–70 bytes per row with short
+taxon names.  ``tests/test_admission.py`` checks the bound on
+caterpillar(600) and Yule(2000) results."""
 
 NEWICK_NODE_BYTES = 24
 """Approximate Newick bytes per node of an encoded projection."""

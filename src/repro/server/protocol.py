@@ -7,13 +7,13 @@ envelopes around them and the line framing:
 
 Request envelope::
 
-    {"protocol": 1, "id": 7, "verb": "query",
+    {"protocol": 2, "id": 7, "verb": "query",
      "payload": {...}, "record": false}
 
 Response envelope (one of)::
 
-    {"protocol": 1, "id": 7, "ok": true,  "result": ...}
-    {"protocol": 1, "id": 7, "ok": false, "error": {"kind": ..., ...}}
+    {"protocol": 2, "id": 7, "ok": true,  "result": ...}
+    {"protocol": 2, "id": 7, "ok": false, "error": {"kind": ..., ...}}
 
 ``id`` is an opaque client-chosen integer echoed back verbatim, so a
 client can pipeline requests on one connection and still pair answers.
@@ -33,8 +33,8 @@ A client that sets ``"chunks": true`` in its request envelope opts in
 to **multi-frame continuation**: a response whose serialized form
 reaches :data:`STREAM_CHUNK_BYTES` is split into chunk frames ::
 
-    {"protocol": 1, "id": 7, "chunk": 0, "more": true,  "data": "..."}
-    {"protocol": 1, "id": 7, "chunk": 1, "more": false, "data": "..."}
+    {"protocol": 2, "id": 7, "chunk": 0, "more": true,  "data": "..."}
+    {"protocol": 2, "id": 7, "chunk": 1, "more": false, "data": "..."}
 
 where the concatenated ``data`` pieces are the JSON text of the
 ordinary response envelope.  Each chunk frame is bounded, so big

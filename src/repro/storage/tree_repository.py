@@ -23,7 +23,7 @@ import datetime as _datetime
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.dewey import DeweyLabel, label_from_string, label_to_string
 from repro.core.hindex import HierarchicalIndex, LayerOps, layered_lca
@@ -41,9 +41,14 @@ _parse_label = lru_cache(maxsize=8192)(label_from_string)
 hundred labels of the index skeleton, so parses are memoised."""
 
 
-@dataclass(frozen=True)
-class NodeRow:
-    """One row of the ``nodes`` table (a node's structural facts)."""
+class NodeRow(NamedTuple):
+    """One row of the ``nodes`` table (a node's structural facts).
+
+    A named tuple whose fields are the table's columns after
+    ``tree_id``, in DDL order, so :meth:`StoredTree._node_row` builds it
+    by position from a ``SELECT *`` row and the wire codec ships it as
+    one array per field.
+    """
 
     node_id: int
     parent_id: int | None
@@ -634,18 +639,16 @@ class StoredTree:
     # Row access
     # ------------------------------------------------------------------
 
-    def _node_row(self, row) -> NodeRow:
-        return NodeRow(
-            node_id=row["node_id"],
-            parent_id=row["parent_id"],
-            child_order=row["child_order"],
-            name=row["name"],
-            edge_length=row["edge_length"],
-            depth=row["depth"],
-            dist_from_root=row["dist_from_root"],
-            pre_order_end=row["pre_order_end"],
-            is_leaf=bool(row["is_leaf"]),
-        )
+    @staticmethod
+    def _node_row(row) -> NodeRow:
+        """A ``SELECT *`` row of ``nodes`` as a :class:`NodeRow`.
+
+        Columns 1–8 are the first eight fields in order (column 0 is
+        ``tree_id``); only ``is_leaf`` is converted, from 0/1 to bool.
+        ``tuple.__new__`` skips the generated keyword ``__new__``, the
+        larger part of the per-row cost of a range scan.
+        """
+        return tuple.__new__(NodeRow, row[1:9] + (bool(row[9]),))
 
     def node(self, node_id: int) -> NodeRow:
         """Fetch a node by pre-order id.

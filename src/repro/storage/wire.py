@@ -6,8 +6,9 @@ dicts: :class:`~repro.storage.api.QueryRequest`,
 :class:`~repro.storage.api.AnalyticsRequest` /
 :class:`~repro.storage.api.AnalyticsResult` (consensus trees as quoted
 Newick, support clusters as sorted name lists),
-:class:`~repro.storage.api.QueryResult` (including
-:class:`~repro.storage.tree_repository.NodeRow` rows and
+:class:`~repro.storage.api.QueryResult` (its
+:class:`~repro.storage.tree_repository.NodeRow` rows as one columnar
+``nodes`` object — one list per row field — and
 :class:`~repro.trees.tree.PhyloTree` projections, carried as Newick),
 catalogue rows, integrity reports, and typed
 :class:`~repro.errors.CrimsonError` payloads.  The codec is the *only*
@@ -17,10 +18,12 @@ into their fields.
 
 Every encoded message carries ``"protocol": PROTOCOL_VERSION``.
 Decoders reject messages stamped with a different version (or none)
-with :class:`~repro.errors.ProtocolError`, so a future incompatible
-codec can bump the constant and old peers fail loudly instead of
-misreading fields.  Malformed payloads — missing keys, wrong types —
-also raise :class:`~repro.errors.ProtocolError`; *semantic* errors
+with :class:`~repro.errors.ProtocolError`, so an incompatible codec
+bumps the constant and old peers fail loudly instead of misreading
+fields.  Version 2 did exactly that when result rows went columnar:
+there is one row encoding and no negotiation flag.  Malformed
+payloads — missing keys, wrong types — also raise
+:class:`~repro.errors.ProtocolError`; *semantic* errors
 inside a well-formed message (an unknown operation, an empty taxon
 list) surface as the usual :class:`~repro.errors.QueryError` because
 decoding a request re-runs :class:`QueryRequest` validation.
@@ -28,11 +31,11 @@ decoding a request re-runs :class:`QueryRequest` validation.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import repro.errors as _errors
 from repro.admission.estimator import CostEstimate
-from repro.errors import CrimsonError, ProtocolError
+from repro.errors import CrimsonError, ParseError, ProtocolError
 from repro.storage.api import (
     AnalyticsRequest,
     AnalyticsResult,
@@ -47,8 +50,11 @@ from repro.storage.tree_repository import NodeRow, TreeInfo
 from repro.trees.newick import parse_newick, write_newick
 from repro.trees.tree import PhyloTree
 
-PROTOCOL_VERSION = 1
-"""The wire protocol this build speaks (bump on incompatible change)."""
+PROTOCOL_VERSION = 2
+"""The wire protocol this build speaks (bump on incompatible change).
+
+Version 2 carries a result's node rows column-wise
+(:func:`encode_node_rows`); version 1 sent one object per row."""
 
 #: Error kinds the codec round-trips by name; anything unlisted decodes
 #: as the base CrimsonError so callers can still catch it.
@@ -142,35 +148,55 @@ def decode_request(payload: Mapping[str, Any]) -> QueryRequest:
 # NodeRow and PhyloTree
 # ----------------------------------------------------------------------
 
-def encode_node_row(row: NodeRow) -> dict[str, Any]:
-    return {
-        "node_id": row.node_id,
-        "parent_id": row.parent_id,
-        "child_order": row.child_order,
-        "name": row.name,
-        "edge_length": row.edge_length,
-        "depth": row.depth,
-        "dist_from_root": row.dist_from_root,
-        "pre_order_end": row.pre_order_end,
-        "is_leaf": row.is_leaf,
-    }
+def encode_node_rows(rows: Sequence[NodeRow]) -> dict[str, list[Any]]:
+    """Encode rows column-wise: one list per :class:`NodeRow` field.
+
+    ``{"node_id": [...], "parent_id": [...], ..., "is_leaf": [...]}``
+    with every list in row order.  Each field name crosses once per
+    result rather than once per row, which is what makes a large clade
+    cheap to build, dump, and load.  The columns are
+    :attr:`NodeRow._fields`, so the encoding cannot drift from the row
+    type.
+    """
+    if not rows:
+        return {field: [] for field in NodeRow._fields}
+    return dict(zip(NodeRow._fields, map(list, zip(*rows))))
 
 
-def decode_node_row(payload: Mapping[str, Any]) -> NodeRow:
-    try:
-        return NodeRow(
-            node_id=payload["node_id"],
-            parent_id=payload["parent_id"],
-            child_order=payload["child_order"],
-            name=payload["name"],
-            edge_length=payload["edge_length"],
-            depth=payload["depth"],
-            dist_from_root=payload["dist_from_root"],
-            pre_order_end=payload["pre_order_end"],
-            is_leaf=bool(payload["is_leaf"]),
+def decode_node_rows(payload: Mapping[str, Any]) -> tuple[NodeRow, ...]:
+    """Rebuild rows from their columns (see :func:`encode_node_rows`).
+
+    Columns the row type does not declare are ignored, like any unknown
+    key.  ``is_leaf`` is normalised to ``bool``; other cells are taken
+    as sent.
+
+    Raises
+    ------
+    ProtocolError
+        If ``payload`` is not a mapping, a column is missing or is not
+        a list, or the columns differ in length.
+    """
+    if not isinstance(payload, Mapping):
+        raise ProtocolError(
+            "a query result's 'nodes' must be a JSON object of columns, "
+            f"got {type(payload).__name__}"
         )
-    except (KeyError, TypeError) as error:
-        raise ProtocolError(f"malformed node row: {error}") from None
+    columns = []
+    for field in NodeRow._fields:
+        column = _field(payload, field, "a query result's 'nodes'")
+        if not isinstance(column, list):
+            raise ProtocolError(
+                f"node column {field!r} must be a list, "
+                f"got {type(column).__name__}"
+            )
+        columns.append(column)
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ProtocolError(
+            f"node columns differ in length: {sorted(lengths)}"
+        )
+    columns[-1] = [bool(flag) for flag in columns[-1]]
+    return tuple(map(NodeRow._make, zip(*columns)))
 
 
 def encode_tree(tree: PhyloTree) -> dict[str, Any]:
@@ -187,8 +213,18 @@ def decode_tree(payload: Mapping[str, Any]) -> PhyloTree:
     newick = _field(payload, "newick", "an encoded tree")
     if not isinstance(newick, str):
         raise ProtocolError("an encoded tree's 'newick' must be a string")
-    tree = parse_newick(newick)
-    tree.name = payload.get("name")
+    name = payload.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ProtocolError(
+            f"an encoded tree's 'name' must be a string, got {name!r}"
+        )
+    try:
+        tree = parse_newick(newick)
+    except ParseError as error:
+        raise ProtocolError(
+            f"an encoded tree's 'newick' does not parse: {error}"
+        ) from None
+    tree.name = name
     return tree
 
 
@@ -202,7 +238,7 @@ def encode_result(result: QueryResult) -> dict[str, Any]:
         {
             "request": encode_request(result.request),
             "duration_ms": result.duration_ms,
-            "nodes": [encode_node_row(row) for row in result.nodes],
+            "nodes": encode_node_rows(result.nodes),
             "projection": (
                 encode_tree(result.projection)
                 if result.projection is not None
@@ -217,9 +253,7 @@ def encode_result(result: QueryResult) -> dict[str, Any]:
 def decode_result(payload: Mapping[str, Any]) -> QueryResult:
     check_protocol(payload, "a query result")
     request = decode_request(_field(payload, "request", "a query result"))
-    nodes = _field(payload, "nodes", "a query result")
-    if not isinstance(nodes, list):
-        raise ProtocolError("a query result's 'nodes' must be a list")
+    nodes = decode_node_rows(_field(payload, "nodes", "a query result"))
     projection = payload.get("projection")
     duration = _field(payload, "duration_ms", "a query result")
     if isinstance(duration, bool) or not isinstance(duration, (int, float)):
@@ -230,7 +264,7 @@ def decode_result(payload: Mapping[str, Any]) -> QueryResult:
     return QueryResult(
         request=request,
         duration_ms=float(duration),
-        nodes=tuple(decode_node_row(row) for row in nodes),
+        nodes=nodes,
         projection=(
             decode_tree(projection) if projection is not None else None
         ),

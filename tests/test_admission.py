@@ -174,6 +174,35 @@ class TestEstimateBoundsWalks:
                     counter.count, estimate.statements,
                 )
 
+    @pytest.mark.parametrize("tree", ["cat", "yule"])
+    def test_encoded_rows_within_result_bytes(self, walked, tree):
+        """``result_bytes`` bounds the ``nodes`` object on the wire."""
+        names = walked.open_tree(tree).leaf_names()
+        first, middle, last = names[0], names[len(names) // 2], names[-1]
+        n_nodes = walked.describe(tree).n_nodes
+        mid_clade = QueryRequest.clade(tree, middle, last)
+        whole_tree = QueryRequest.clade(tree, first, last)
+        requests = [
+            QueryRequest.lca(tree, first, last),
+            self._requests(walked, tree)[-1],  # lca_batch of 25 pairs
+            mid_clade,
+            whole_tree,
+        ]
+        assert len(walked.query(whole_tree).nodes) == n_nodes
+        assert 0 < len(walked.query(mid_clade).nodes) < n_nodes
+        for request in requests:
+            rows = walked.query(request).nodes
+            encoded = json.dumps(
+                wire.encode_node_rows(rows),
+                ensure_ascii=False,
+                separators=(",", ":"),
+            ).encode("utf-8")
+            estimate = walked.estimate(request)
+            assert len(encoded) <= estimate.result_bytes, (
+                request.operation, len(rows), len(encoded),
+                estimate.result_bytes,
+            )
+
 
 # ----------------------------------------------------------------------
 # Controller

@@ -11,6 +11,7 @@ Dewey, layered in-memory, and stored-SQL engines on random trees.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
@@ -293,6 +294,31 @@ class TestRawProtocol:
         assert isinstance(error, ProtocolError)
         assert "speaks protocol" in str(error)
 
+    def test_protocol_1_peer_gets_typed_error_and_connection_survives(
+        self, served
+    ):
+        """Protocol 1 sent one object per row; a v1 peer must fail
+        loudly rather than misread protocol 2's columnar rows."""
+        _, host, port = served
+        request = wire.encode_request(
+            QueryRequest.clade("fig1-sample", "Lla", "Spy")
+        )
+        request["protocol"] = 1
+        with socket.create_connection((host, port), timeout=5) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(
+                self.envelope("query", request, protocol=1) + b"\n"
+            )
+            stream.flush()
+            response = json.loads(stream.readline())
+            assert response["ok"] is False
+            error = wire.decode_error(response["error"])
+            assert isinstance(error, ProtocolError)
+            assert "speaks protocol 1" in str(error)
+            stream.write(self.envelope("ping") + b"\n")
+            stream.flush()
+            assert json.loads(stream.readline())["ok"] is True
+
     def test_unknown_verb_is_protocol_error(self, served):
         _, host, port = served
         response = self.raw_call(host, port, self.envelope("drop_tables"))
@@ -392,6 +418,25 @@ class TestRawProtocol:
 class TestConnectionHygiene:
     """Framing failures and hung servers must not strand a session."""
 
+    CLADE = QueryRequest.clade("fig1-sample", "Lla", "Bsu")
+
+    def shrink_frame_limit(self, served, monkeypatch) -> int:
+        """Set the frame limit to the clade result's own encoded size.
+
+        The response frame wraps that result in an envelope (id, ok,
+        server_ms), so it is strictly larger than the limit whatever
+        the codec's row encoding — the premise holds by construction.
+        """
+        store, _, _ = served
+        result = wire.encode_result(store.query(self.CLADE))
+        limit = len(
+            json.dumps(
+                result, ensure_ascii=False, separators=(",", ":")
+            ).encode("utf-8")
+        )
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+        return limit
+
     def test_oversize_result_streams_in_chunks_to_a_modern_client(
         self, served, monkeypatch
     ):
@@ -399,12 +444,23 @@ class TestConnectionHygiene:
         # Shrink the frame limit: the clade result no longer fits one
         # frame.  RemoteSession advertises chunked responses, so the
         # server streams it as bounded chunk frames instead of refusing.
-        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 700)
+        self.shrink_frame_limit(served, monkeypatch)
+        chunk_frames = []
+        read_frame = protocol.read_frame
+
+        def counting_read_frame(stream):
+            frame = read_frame(stream)
+            if frame is not None and "chunk" in frame:
+                chunk_frames.append(frame["chunk"])
+            return frame
+
+        monkeypatch.setattr(protocol, "read_frame", counting_read_frame)
         with RemoteSession(host, port) as session:
-            result = session.query(
-                QueryRequest.clade("fig1-sample", "Lla", "Bsu")
-            )
+            result = session.query(self.CLADE)
             assert len(list(result.nodes)) > 0
+            # The premise: the answer really arrived in pieces.
+            assert len(chunk_frames) > 1
+            assert chunk_frames == list(range(len(chunk_frames)))
             # The stream stays frame-aligned afterwards.
             lca = session.query(
                 QueryRequest.lca("fig1-sample", "Lla", "Spy")
@@ -415,16 +471,15 @@ class TestConnectionHygiene:
         self, served, monkeypatch
     ):
         _, host, port = served
-        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 700)
+        limit = self.shrink_frame_limit(served, monkeypatch)
         # A client that does NOT advertise chunks (an older build) still
         # gets the one-frame refusal, and the connection survives it.
         with socket.create_connection((host, port), timeout=5) as sock:
             stream = sock.makefile("rwb")
-            request = QueryRequest.clade("fig1-sample", "Lla", "Bsu")
             protocol.write_frame(
                 stream,
                 protocol.request_envelope(
-                    "query", wire.encode_request(request), request_id=1
+                    "query", wire.encode_request(self.CLADE), request_id=1
                 ),
             )
             response = protocol.read_frame(stream)
@@ -432,6 +487,10 @@ class TestConnectionHygiene:
             error = wire.decode_error(response["error"])
             assert isinstance(error, ProtocolError)
             assert "byte limit" in str(error)
+            # The premise: the refused frame exceeds the limit.
+            refused = re.search(r"frame of (\d+) bytes", str(error))
+            assert refused is not None
+            assert int(refused.group(1)) > limit
             # Nothing of the oversize frame hit the wire, so the same
             # connection keeps working.
             protocol.write_frame(

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro.errors import QueryError, StorageError
-from repro.storage.tree_repository import TreeRepository
+from repro.storage.schema import TABLE_COLUMNS
+from repro.storage.tree_repository import NodeRow, TreeRepository
 from repro.trees.build import balanced, caterpillar, sample_tree
 from repro.trees.traversal import naive_lca
 
@@ -69,6 +70,21 @@ class TestStoreAndCatalogue:
 
 
 class TestNodeAccess:
+    def test_node_row_fields_are_the_nodes_columns_in_order(self):
+        # StoredTree._node_row builds rows by position from SELECT *.
+        assert TABLE_COLUMNS["nodes"] == ("tree_id", *NodeRow._fields)
+
+    def test_node_row_is_an_immutable_hashable_tuple(self, stored):
+        row = stored.node_by_name("Lla")
+        assert isinstance(row, tuple)
+        assert type(row.is_leaf) is bool and row.is_leaf
+        assert row == stored.node_by_name("Lla")
+        assert hash(row) == hash(stored.node_by_name("Lla"))
+        with pytest.raises(AttributeError):
+            row.name = "renamed"  # type: ignore[misc]
+        assert row.subtree_interval == (row.node_id, row.pre_order_end)
+        assert row.contains(row.node_id)
+
     def test_root(self, stored):
         root = stored.root()
         assert root.name == "R"

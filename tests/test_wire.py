@@ -24,6 +24,7 @@ from repro.storage import wire
 from repro.storage.api import AnalyticsRequest, QueryRequest, QueryResult
 from repro.storage.maintenance import IntegrityReport
 from repro.storage.store import CrimsonStore
+from repro.storage.tree_repository import NodeRow
 from repro.trees.build import sample_tree
 from repro.trees.newick import write_newick
 
@@ -401,3 +402,168 @@ class TestProtocolVersionGate:
         # The CLI and clients catch CrimsonError; version skew must land
         # in the same net.
         assert issubclass(ProtocolError, CrimsonError)
+
+
+# ----------------------------------------------------------------------
+# Columnar node rows and decoder fuzzing
+# ----------------------------------------------------------------------
+
+ROW_FIELDS = NodeRow._fields
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _v1_rows(result):
+    """A result's rows the way protocol 1 sent them: one object each."""
+    return [dict(zip(ROW_FIELDS, row)) for row in result.nodes]
+
+
+@pytest.fixture(scope="module")
+def encoded_results() -> list[dict]:
+    """Valid encoded results of every operation on the Figure-1 tree,
+    each with its rows in protocol 1's shape under ``"v1_rows"``."""
+    encoded = []
+    with CrimsonStore.open() as store:
+        store.trees.store_tree(sample_tree(), f=2)
+        for make in TestResultRoundTrip.REQUESTS.values():
+            result = store.query(make("fig1-sample"))
+            payload = over_json(wire.encode_result(result))
+            payload["v1_rows"] = _v1_rows(result)
+            encoded.append(payload)
+    return encoded
+
+
+@st.composite
+def mutated_results(draw, bases: list[dict]):
+    """One of ``bases`` with one structural mutation applied."""
+    payload = dict(draw(st.sampled_from(bases)))
+    v1_rows = payload.pop("v1_rows")
+    nodes = dict(payload["nodes"])
+    mutation = draw(
+        st.sampled_from(
+            [
+                "nodes_any",
+                "nodes_v1",
+                "drop_column",
+                "extra_column",
+                "column_not_list",
+                "column_length",
+                "top_drop",
+                "top_any",
+                "request_any",
+                "projection_any",
+            ]
+        )
+    )
+    if mutation == "nodes_any":
+        payload["nodes"] = draw(JSON_VALUES)
+    elif mutation == "nodes_v1":
+        payload["nodes"] = v1_rows
+    elif mutation == "drop_column":
+        del nodes[draw(st.sampled_from(ROW_FIELDS))]
+        payload["nodes"] = nodes
+    elif mutation == "extra_column":
+        nodes[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+        payload["nodes"] = nodes
+    elif mutation == "column_not_list":
+        nodes[draw(st.sampled_from(ROW_FIELDS))] = draw(
+            JSON_VALUES.filter(lambda value: not isinstance(value, list))
+        )
+        payload["nodes"] = nodes
+    elif mutation == "column_length":
+        field = draw(st.sampled_from(ROW_FIELDS))
+        nodes[field] = nodes[field] + draw(
+            st.lists(JSON_VALUES, min_size=1, max_size=3)
+        )
+        payload["nodes"] = nodes
+    elif mutation == "top_drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif mutation == "top_any":
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(JSON_VALUES)
+    elif mutation == "projection_any":
+        payload["projection"] = {
+            "newick": draw(st.text(alphabet="(),;:ab1.' ", max_size=12)),
+            "name": draw(JSON_VALUES),
+        }
+    else:
+        request = dict(payload["request"])
+        request[draw(st.sampled_from(sorted(request)))] = draw(JSON_VALUES)
+        payload["request"] = request
+    return mutation, payload
+
+
+class TestColumnarNodeRows:
+    def test_is_leaf_decodes_as_bool(self, stored_store):
+        result = stored_store.query(QueryRequest.clade("fig1-sample", "Lla"))
+        nodes = over_json(wire.encode_node_rows(result.nodes))
+        nodes["is_leaf"] = [1 if flag else 0 for flag in nodes["is_leaf"]]
+        decoded = wire.decode_node_rows(nodes)
+        assert decoded == result.nodes
+        assert all(type(row.is_leaf) is bool for row in decoded)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([], "JSON object of columns"),
+            ("rows", "JSON object of columns"),
+            ({}, "missing the 'node_id' field"),
+            (
+                {field: [] for field in ROW_FIELDS} | {"depth": 0},
+                "'depth' must be a list",
+            ),
+            (
+                {field: [] for field in ROW_FIELDS} | {"name": ["a"]},
+                "differ in length",
+            ),
+        ],
+    )
+    def test_malformed_columns_are_protocol_errors(self, nodes, message):
+        with pytest.raises(ProtocolError, match=message):
+            wire.decode_node_rows(nodes)
+
+    def test_protocol_1_row_objects_are_protocol_errors(self, stored_store):
+        """A v1 peer's list of row objects fails typed, never misread."""
+        result = stored_store.query(
+            QueryRequest.clade("fig1-sample", "Lla", "Spy")
+        )
+        payload = over_json(wire.encode_result(result))
+        payload["nodes"] = _v1_rows(result)
+        with pytest.raises(ProtocolError):
+            wire.decode_result(payload)
+        payload["protocol"] = 1
+        payload["request"]["protocol"] = 1
+        with pytest.raises(ProtocolError, match="speaks protocol 1"):
+            wire.decode_result(payload)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_decode_result_raises_only_typed_errors(
+        self, encoded_results, data
+    ):
+        mutation, payload = data.draw(mutated_results(encoded_results))
+        try:
+            decoded = wire.decode_result(over_json(payload))
+        except (ProtocolError, QueryError):
+            return
+        # Only mutations that leave a well-formed result may decode.
+        assert mutation in (
+            "extra_column",
+            "top_any",
+            "top_drop",
+            "request_any",
+            "projection_any",
+        )
+        assert isinstance(decoded, QueryResult)
